@@ -18,7 +18,9 @@ use gpgpu_covert::noise::{run_sync_with_noise, NoiseKind};
 use gpgpu_covert::nvlink_channel::NvlinkChannel;
 use gpgpu_covert::parallel::ParallelSfuChannel;
 use gpgpu_covert::sync_channel::SyncChannel;
-use gpgpu_sim::{DeviceTuning, EngineMode, LatencyTable};
+use gpgpu_sim::{DeviceTuning, EngineMode, FaultPlan, LatencyTable};
+use gpgpu_spec::grammar;
+use gpgpu_spec::sweep::MAX_BITS;
 use gpgpu_spec::{presets, DefenseSpec, DeviceSpec, TopologySpec};
 use std::fmt::Write as _;
 
@@ -214,7 +216,8 @@ impl Args {
                 }
                 "--bits" => {
                     let v = it.next().ok_or("--bits needs a value")?;
-                    args.bits = v.parse().map_err(|_| format!("invalid --bits value {v:?}"))?;
+                    args.bits = grammar::bounded(v, MAX_BITS as usize)
+                        .ok_or_else(|| format!("invalid --bits value {v:?} (max {MAX_BITS})"))?;
                 }
                 "--exclusive" => args.exclusive = true,
                 "--stats" => args.stats = true,
@@ -225,8 +228,7 @@ impl Args {
                 "--adaptive" => args.adaptive = true,
                 "--faults" => {
                     let v = it.next().ok_or("--faults needs a spec")?;
-                    gpgpu_sim::FaultPlan::from_spec(v)
-                        .map_err(|e| format!("invalid --faults spec: {e}"))?;
+                    FaultPlan::from_spec(v).map_err(|e| format!("invalid --faults spec: {e}"))?;
                     args.faults = Some(v.clone());
                 }
                 "--topology" => {
@@ -381,6 +383,16 @@ impl Args {
         }
     }
 
+    /// The `--faults` plan, if given.
+    ///
+    /// # Errors
+    ///
+    /// Propagates spec errors (cannot normally happen: the flag was
+    /// validated at parse time).
+    pub fn fault_plan(&self) -> Result<Option<FaultPlan>, String> {
+        self.faults.as_deref().map(FaultPlan::from_spec).transpose().map_err(|e| e.to_string())
+    }
+
     /// Composes every `--defense` flag into one stacked defense (the
     /// semantics for the single-channel commands). No flags means no
     /// defense.
@@ -511,7 +523,7 @@ pub fn run(args: &Args) -> Result<String, String> {
         Command::L1 => {
             let spec = args.spec()?;
             let msg = Message::pseudo_random(args.bits, 0xC14);
-            let plan = args.faults.as_deref().map(gpgpu_sim::FaultPlan::from_spec).transpose()?;
+            let plan = args.fault_plan()?;
             let defense = args.defense_spec()?;
             let engine_mode = args.engine.unwrap_or_else(default_engine_mode);
             if engine_mode == EngineMode::Analytical {
@@ -603,10 +615,8 @@ pub fn run(args: &Args) -> Result<String, String> {
         Command::Faults => {
             // The sweep is pinned to the calibrated K40C sync channel; the
             // spec only overrides the fault plan, not the device.
-            let base = match &args.faults {
-                Some(s) => gpgpu_sim::FaultPlan::from_spec(s)?,
-                None => gpgpu_bench::data::fault_sweep_plan(1.0),
-            };
+            let base =
+                args.fault_plan()?.unwrap_or_else(|| gpgpu_bench::data::fault_sweep_plan(1.0));
             let defense = args.defense_spec()?;
             let intensities = [0.0, 0.5, 1.0];
             let pts = gpgpu_bench::data::fault_sweep_defended(
@@ -650,10 +660,8 @@ pub fn run(args: &Args) -> Result<String, String> {
         Command::Robust => {
             let spec = args.spec()?;
             let msg = Message::pseudo_random(args.bits, 0xC15);
-            let plan = match &args.faults {
-                Some(s) => gpgpu_sim::FaultPlan::from_spec(s)?,
-                None => gpgpu_bench::data::fault_sweep_plan(1.0),
-            };
+            let plan =
+                args.fault_plan()?.unwrap_or_else(|| gpgpu_bench::data::fault_sweep_plan(1.0));
             let defense = args.defense_spec()?;
             let mut env = LinkEnvironment::clean()
                 .with_faults(plan)
@@ -690,8 +698,8 @@ pub fn run(args: &Args) -> Result<String, String> {
             let mut ch = NvlinkChannel::new(topo)
                 .map_err(|e| e.to_string())?
                 .with_tuning(DeviceTuning::from_defense(&defense));
-            if let Some(s) = &args.faults {
-                ch = ch.with_faults(gpgpu_sim::FaultPlan::from_spec(s)?);
+            if let Some(plan) = args.fault_plan()? {
+                ch = ch.with_faults(plan);
             }
             if !defense.is_none() {
                 let _ = writeln!(out, "defense: {}", defense.to_spec());
@@ -837,7 +845,7 @@ pub fn run(args: &Args) -> Result<String, String> {
                 );
             }
             if let Some(spec) = &args.chaos {
-                let chaos = gpgpu_serve::ChaosPlan::from_spec(spec)?;
+                let chaos = gpgpu_serve::ChaosPlan::from_spec(spec).map_err(|e| e.to_string())?;
                 service = service
                     .with_chaos(chaos)
                     .with_max_attempts(chaos.attempts_to_converge())

@@ -25,73 +25,8 @@ use crate::parallel::ParallelSfuChannel;
 use crate::sync_channel::SyncChannel;
 use crate::CovertError;
 use gpgpu_sim::DeviceTuning;
-use gpgpu_spec::{DefenseComponent, DefenseSpec, DeviceSpec, LaunchConfig, TopologySpec};
+use gpgpu_spec::{DefenseSpec, DeviceSpec, LaunchConfig, TopologySpec};
 use std::fmt;
-
-/// One of the paper's Section-9 mitigation classes, parameterized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mitigation {
-    /// Static cache partitioning into `partitions` per-kernel regions.
-    CachePartitioning {
-        /// Number of partitions (>= 2 to have any effect).
-        partitions: u32,
-    },
-    /// Keyed-hash warp -> scheduler assignment.
-    RandomizedWarpScheduling {
-        /// Hash seed (changes per boot on a real implementation).
-        seed: u64,
-    },
-    /// Quantized `clock()` reads.
-    ClockFuzzing {
-        /// Quantum in cycles; must exceed the hit/miss latency gap to be
-        /// effective.
-        granularity: u64,
-    },
-}
-
-impl Mitigation {
-    /// The device tuning implementing this mitigation **alone**.
-    ///
-    /// To stack several mitigations, do not overwrite one tuning with
-    /// another — combine them with [`DeviceTuning::merge`] (or go through
-    /// [`Mitigation::to_defense`] and [`DefenseSpec::compose`], which
-    /// lower onto a merged tuning).
-    pub fn tuning(self) -> DeviceTuning {
-        DeviceTuning::from_defense(&self.to_defense())
-    }
-
-    /// This mitigation as a single-component composable [`DefenseSpec`].
-    pub fn to_defense(self) -> DefenseSpec {
-        let component = match self {
-            Mitigation::CachePartitioning { partitions } => {
-                DefenseComponent::CachePartitioning { partitions }
-            }
-            Mitigation::RandomizedWarpScheduling { seed } => {
-                DefenseComponent::RandomizedWarpScheduling { seed }
-            }
-            Mitigation::ClockFuzzing { granularity } => {
-                DefenseComponent::ClockFuzzing { granularity }
-            }
-        };
-        DefenseSpec::single(component).expect("mitigation parameters are in range")
-    }
-}
-
-impl fmt::Display for Mitigation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Mitigation::CachePartitioning { partitions } => {
-                write!(f, "cache partitioning ({partitions} regions)")
-            }
-            Mitigation::RandomizedWarpScheduling { seed } => {
-                write!(f, "randomized warp scheduling (seed {seed:#x})")
-            }
-            Mitigation::ClockFuzzing { granularity } => {
-                write!(f, "clock fuzzing ({granularity}-cycle quantum)")
-            }
-        }
-    }
-}
 
 /// The five covert-channel families the simulator can pit a defense
 /// against — the evaluation axis of the Section-9 matrix.
@@ -382,17 +317,8 @@ mod tests {
 
     #[test]
     fn display_labels() {
-        assert!(Mitigation::CachePartitioning { partitions: 2 }.to_string().contains("2 regions"));
-        assert!(Mitigation::ClockFuzzing { granularity: 512 }.to_string().contains("512"));
         assert_eq!(ChannelFamily::ParallelSfu.to_string(), "parallel-sfu");
         assert_eq!(MitigationVerdict::BaselineBroken.to_string(), "baseline-broken");
-    }
-
-    #[test]
-    fn mitigation_to_defense_round_trips_through_tuning() {
-        let m = Mitigation::RandomizedWarpScheduling { seed: 0xD1CE };
-        assert_eq!(m.tuning().random_warp_scheduler, Some(0xD1CE));
-        assert_eq!(m.to_defense().to_spec(), "randsched=0xd1ce");
     }
 }
 

@@ -23,6 +23,8 @@
 //! of roughly every `k`-th cell (seeded selection, `0` disables); `none`
 //! is the empty plan.
 
+use gpgpu_spec::grammar::Fields;
+use gpgpu_spec::SpecError;
 use std::fmt;
 
 /// Per-decision salts so the kill, stall, corruption and site draws are
@@ -47,6 +49,11 @@ fn mix(mut z: u64) -> u64 {
 pub(crate) fn mix_for_backoff(cell_hash: u64, retry: u32) -> u64 {
     mix(cell_hash ^ SALT_BACKOFF ^ u64::from(retry))
 }
+
+/// Largest per-cell kill or stall bound a spec may ask for. Each event
+/// costs one attempt, so the bound keeps a chaos run's attempt budget
+/// finite and its arithmetic far from overflow.
+pub const MAX_EVENTS: u32 = 1024;
 
 /// What the chaos schedule injects into one attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,7 +100,7 @@ impl ChaosPlan {
     /// this plan: worst-case kills, then worst-case stalls, then one clean
     /// attempt.
     pub fn attempts_to_converge(&self) -> u32 {
-        self.kills + self.stalls + 1
+        self.kills.saturating_add(self.stalls).saturating_add(1)
     }
 
     /// How many kill events cell `cell_hash` suffers (seeded, `0..=kills`).
@@ -101,7 +108,7 @@ impl ChaosPlan {
         if self.kills == 0 {
             return 0;
         }
-        (mix(self.seed ^ SALT_KILL ^ cell_hash) % u64::from(self.kills + 1)) as u32
+        (mix(self.seed ^ SALT_KILL ^ cell_hash) % (u64::from(self.kills) + 1)) as u32
     }
 
     /// How many stall events cell `cell_hash` suffers (seeded, `0..=stalls`).
@@ -109,7 +116,7 @@ impl ChaosPlan {
         if self.stalls == 0 {
             return 0;
         }
-        (mix(self.seed ^ SALT_STALL ^ cell_hash) % u64::from(self.stalls + 1)) as u32
+        (mix(self.seed ^ SALT_STALL ^ cell_hash) % (u64::from(self.stalls) + 1)) as u32
     }
 
     /// The event (if any) this schedule injects into attempt `attempt`
@@ -120,7 +127,7 @@ impl ChaosPlan {
         if attempt < kills {
             return Some(ChaosEvent::Kill);
         }
-        if attempt < kills + self.stalls_for(cell_hash) {
+        if attempt < kills.saturating_add(self.stalls_for(cell_hash)) {
             return Some(ChaosEvent::Stall);
         }
         None
@@ -147,53 +154,26 @@ impl ChaosPlan {
     ///
     /// # Errors
     ///
-    /// A human-readable reason, for the CLI to wrap.
-    pub fn from_spec(spec: &str) -> Result<Self, String> {
-        let trimmed = spec.trim();
-        if trimmed == "none" {
-            return Ok(ChaosPlan::none());
+    /// [`SpecError::InvalidChaos`] for unknown or repeated keys, malformed
+    /// numbers, and `kills`/`stalls` above [`MAX_EVENTS`].
+    pub fn from_spec(spec: &str) -> Result<Self, SpecError> {
+        let invalid = |reason: String| SpecError::InvalidChaos { reason };
+        match spec.trim() {
+            "none" => return Ok(ChaosPlan::none()),
+            "" => return Err(invalid("empty chaos spec (use `none` for no chaos)".into())),
+            _ => {}
         }
-        if trimmed.is_empty() {
-            return Err("empty chaos spec (use `none` for no chaos)".to_string());
-        }
+        let mut fields =
+            Fields::new(spec.split(','), &["seed", "kills", "stalls", "corrupt"], invalid);
         let mut out = ChaosPlan::none();
-        let mut seen: Vec<&str> = Vec::new();
-        for part in trimmed.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let (key, value) =
-                part.split_once('=').ok_or_else(|| format!("expected key=value, got `{part}`"))?;
-            let (key, value) = (key.trim(), value.trim());
-            if seen.contains(&key) {
-                return Err(format!("duplicate chaos key `{key}`"));
-            }
+        while let Some((key, _)) = fields.next_field()? {
             match key {
-                "seed" => {
-                    out.seed =
-                        match value.strip_prefix("0x").or_else(|| value.strip_prefix("0X")) {
-                            Some(hex) => u64::from_str_radix(hex, 16),
-                            None => value.parse(),
-                        }
-                        .map_err(|_| format!("invalid chaos seed `{value}`"))?;
-                }
-                "kills" => {
-                    out.kills =
-                        value.parse().map_err(|_| format!("invalid kills bound `{value}`"))?;
-                }
-                "stalls" => {
-                    out.stalls =
-                        value.parse().map_err(|_| format!("invalid stalls bound `{value}`"))?;
-                }
-                "corrupt" => {
-                    out.corrupt =
-                        value.parse().map_err(|_| format!("invalid corrupt period `{value}`"))?;
-                }
-                other => return Err(format!("unknown chaos key `{other}`")),
+                "seed" => out.seed = fields.seed()?,
+                "kills" => out.kills = fields.bounded(MAX_EVENTS)?,
+                "stalls" => out.stalls = fields.bounded(MAX_EVENTS)?,
+                "corrupt" => out.corrupt = fields.parse()?,
+                _ => unreachable!("the tokenizer yields declared keys only"),
             }
-            seen.push(match key {
-                "seed" => "seed",
-                "kills" => "kills",
-                "stalls" => "stalls",
-                _ => "corrupt",
-            });
         }
         Ok(out)
     }
@@ -232,6 +212,18 @@ mod tests {
         for bad in ["", "seed", "kills=x", "what=1", "kills=1,kills=2"] {
             assert!(ChaosPlan::from_spec(bad).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn event_bounds_are_checked_at_parse_time() {
+        for key in ["kills", "stalls"] {
+            assert!(ChaosPlan::from_spec(&format!("{key}={MAX_EVENTS}")).is_ok(), "{key}");
+            assert!(ChaosPlan::from_spec(&format!("{key}={}", MAX_EVENTS + 1)).is_err(), "{key}");
+        }
+        // A hand-built plan past the bound still draws without overflow.
+        let p = ChaosPlan { seed: 1, kills: u32::MAX, stalls: u32::MAX, corrupt: 0 };
+        assert_eq!(p.attempts_to_converge(), u32::MAX);
+        let _ = (p.kills_for(7), p.stalls_for(7), p.injection_for(7, 0));
     }
 
     #[test]

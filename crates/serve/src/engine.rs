@@ -59,8 +59,8 @@ pub enum ServeError {
     InvalidFaults {
         /// The offending axis value.
         spec: String,
-        /// The parser's reason.
-        reason: String,
+        /// The fault grammar's typed error.
+        error: SpecError,
     },
     /// The journal refused to resume (header mismatch or I/O).
     Journal(JournalError),
@@ -77,8 +77,8 @@ impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::Request(e) => write!(f, "{e}"),
-            ServeError::InvalidFaults { spec, reason } => {
-                write!(f, "invalid fault axis value `{spec}`: {reason}")
+            ServeError::InvalidFaults { spec, error } => {
+                write!(f, "invalid fault axis value `{spec}`: {error}")
             }
             ServeError::Journal(e) => write!(f, "{e}"),
             ServeError::CacheDir { dir, error } => {
@@ -375,8 +375,8 @@ impl SweepService {
             let fault = if raw.faults == "none" {
                 None
             } else {
-                Some(FaultPlan::from_spec(&raw.faults).map_err(|reason| {
-                    ServeError::InvalidFaults { spec: raw.faults.clone(), reason }
+                Some(FaultPlan::from_spec(&raw.faults).map_err(|error| {
+                    ServeError::InvalidFaults { spec: raw.faults.clone(), error }
                 })?)
             };
             // Canonicalize the fault axis through the plan's round trip so

@@ -3,10 +3,10 @@
 //! The content-addressed cache already survives crashes (entries are
 //! atomic), but a run may be configured *without* a cache, and even with
 //! one a resume should not have to re-hash every cell against the cache
-//! directory. The journal mirrors the `run_checkpointed` design from
-//! `gpgpu-covert::harness`: a header that pins exactly which request (and
-//! grid size) the file belongs to, then one CRC-armored line per completed
-//! cell in completion order, flushed as written. After a `kill -9`,
+//! directory. The journal is the workspace's one resume format: a header
+//! that pins exactly which request (and grid size) the file belongs to,
+//! then one CRC-armored line per completed cell in completion order,
+//! flushed as written. After a `kill -9`,
 //! [`Journal::resume`] trusts the contiguous prefix of intact lines — a
 //! torn tail or a byte flipped at rest ends the prefix with a typed
 //! [`JournalError`], never a panic and never silently-wrong data.

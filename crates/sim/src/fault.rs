@@ -35,6 +35,8 @@
 
 use crate::tuning::splitmix64;
 use gpgpu_mem::ConstHierarchy;
+use gpgpu_spec::grammar::Fields;
+use gpgpu_spec::SpecError;
 
 /// Per-kind salts decorrelating the six fault streams drawn from one seed.
 const SALT_EVICT: u64 = 0xE51C_7B01;
@@ -172,68 +174,52 @@ impl FaultPlan {
     }
 
     /// Parses the textual spec grammar (the CLI's `--faults` argument):
-    /// comma-separated `key=value` pairs with keys `seed`, `intensity`,
-    /// `period`, `burst`, `set` and `kinds` (a `+`-separated subset of
-    /// `evict`, `jitter`, `skew`, `clock`, `storm`, `link`, or
-    /// `all`/`none`). Omitted keys keep the [`FaultPlan::new`] defaults
-    /// (seed 0).
+    /// comma-separated `key=value` pairs with keys `seed` (decimal or `0x`
+    /// hex), `intensity`, `period`, `burst`, `set` and `kinds` (a
+    /// `+`-separated subset of `evict`, `jitter`, `skew`, `clock`, `storm`,
+    /// `link`, or `all`/`none`). Omitted keys keep the [`FaultPlan::new`]
+    /// defaults (seed 0).
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message for unknown keys/kinds, malformed
-    /// numbers, `period=0`, `burst > period` or intensity outside `[0, 1]`.
-    pub fn from_spec(spec: &str) -> Result<Self, String> {
+    /// [`SpecError::InvalidFaults`] for unknown or repeated keys, unknown
+    /// kinds, malformed numbers, `period=0`, `burst > period` or intensity
+    /// outside `[0, 1]`.
+    pub fn from_spec(spec: &str) -> Result<Self, SpecError> {
+        let invalid = |reason: String| SpecError::InvalidFaults { reason };
+        let keys = &["seed", "intensity", "period", "burst", "set", "kinds"];
+        let mut fields = Fields::new(spec.split(','), keys, invalid);
         let mut plan = FaultPlan::new(0);
-        for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let (key, value) =
-                part.split_once('=').ok_or_else(|| format!("expected key=value, got `{part}`"))?;
-            match key.trim() {
-                "seed" => {
-                    plan.seed = value.parse().map_err(|_| format!("invalid seed `{value}`"))?;
-                }
-                "intensity" => {
-                    let i: f64 =
-                        value.parse().map_err(|_| format!("invalid intensity `{value}`"))?;
-                    if !(0.0..=1.0).contains(&i) {
-                        return Err(format!("intensity {i} outside [0, 1]"));
-                    }
-                    plan.intensity = i;
-                }
-                "period" => {
-                    plan.period = value.parse().map_err(|_| format!("invalid period `{value}`"))?;
-                    if plan.period == 0 {
-                        return Err("period must be >= 1".to_string());
-                    }
-                }
-                "burst" => {
-                    plan.burst = value.parse().map_err(|_| format!("invalid burst `{value}`"))?;
-                }
-                "set" => {
-                    plan.target_set =
-                        value.parse().map_err(|_| format!("invalid set `{value}`"))?;
-                }
+        while let Some((key, value)) = fields.next_field()? {
+            match key {
+                "seed" => plan.seed = fields.seed()?,
+                "intensity" => plan.intensity = fields.parse()?,
+                "period" => plan.period = fields.parse()?,
+                "burst" => plan.burst = fields.parse()?,
+                "set" => plan.target_set = fields.parse()?,
                 "kinds" => {
-                    let mut kinds = FaultKinds::none();
+                    plan.kinds = FaultKinds::none();
                     for kind in value.split('+').map(str::trim) {
+                        let k = &mut plan.kinds;
                         match kind {
-                            "evict" => kinds.evict = true,
-                            "jitter" => kinds.jitter = true,
-                            "skew" => kinds.skew = true,
-                            "clock" => kinds.clock = true,
-                            "storm" => kinds.storm = true,
-                            "link" => kinds.link = true,
-                            "all" => kinds = FaultKinds::all(),
-                            "none" => kinds = FaultKinds::none(),
-                            other => return Err(format!("unknown fault kind `{other}`")),
+                            "evict" => k.evict = true,
+                            "jitter" => k.jitter = true,
+                            "skew" => k.skew = true,
+                            "clock" => k.clock = true,
+                            "storm" => k.storm = true,
+                            "link" => k.link = true,
+                            "all" => *k = FaultKinds::all(),
+                            "none" => *k = FaultKinds::none(),
+                            other => return Err(invalid(format!("unknown fault kind `{other}`"))),
                         }
                     }
-                    plan.kinds = kinds;
                 }
-                other => return Err(format!("unknown fault key `{other}`")),
+                _ => unreachable!("the tokenizer yields declared keys only"),
             }
         }
-        if plan.burst > plan.period {
-            return Err(format!("burst {} exceeds period {}", plan.burst, plan.period));
+        if !(0.0..=1.0).contains(&plan.intensity) || plan.period == 0 || plan.burst > plan.period {
+            let reason = "needs intensity in [0, 1], period >= 1 and burst <= period";
+            return Err(invalid(format!("`{}` {reason}", plan.to_spec())));
         }
         Ok(plan)
     }

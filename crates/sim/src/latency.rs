@@ -22,6 +22,7 @@
 //! shortest-round-trip representation — so a table dumped by the CLI's
 //! `characterize` subcommand reloads bit-identically.
 
+use gpgpu_spec::grammar::Fields;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -81,7 +82,7 @@ impl OpClass {
 /// pacing window for NVLink, nothing (slope 0) for the synchronized
 /// channel. `knob_lo`/`knob_hi` record the range the fit observed, so a
 /// consumer can tell interpolation from extrapolation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FamilyModel {
     /// Channel family label (`l1`, `sfu`, `atomic`, `sync`, `nvlink`).
     pub family: String,
@@ -244,13 +245,8 @@ impl LatencyTable {
             })?;
         let mut table = LatencyTable::new(device);
         for (idx, raw) in lines {
-            let line_no = idx + 1;
-            let line = raw.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let err = |reason: String| LatencyTableError { line: line_no, reason };
-            let mut parts = line.split_whitespace();
+            let err = |reason: String| LatencyTableError { line: idx + 1, reason };
+            let mut parts = raw.split_whitespace();
             match parts.next() {
                 Some("op") => {
                     let label = parts.next().ok_or_else(|| err("op row missing class".into()))?;
@@ -265,37 +261,26 @@ impl LatencyTable {
                 Some("family") => {
                     let family =
                         parts.next().ok_or_else(|| err("family row missing label".into()))?;
-                    let mut model = FamilyModel {
-                        family: family.to_string(),
-                        knob: String::new(),
-                        fixed: 0.0,
-                        base: 0.0,
-                        slope: 0.0,
-                        knob_lo: 0.0,
-                        knob_hi: 0.0,
-                        err_sat: 0.0,
-                        err_knee: 0.0,
-                    };
-                    for field in parts {
-                        let (key, value) = field
-                            .split_once('=')
-                            .ok_or_else(|| err(format!("bad family field `{field}`")))?;
-                        if key == "knob" {
-                            model.knob = value.to_string();
-                            continue;
-                        }
-                        let v = value
-                            .parse::<f64>()
-                            .map_err(|_| err(format!("bad family value `{field}`")))?;
+                    let mut model =
+                        FamilyModel { family: family.to_string(), ..Default::default() };
+                    let keys = &["knob", "fixed", "base", "slope", "lo", "hi", "esat", "eknee"];
+                    let mut fields = Fields::new(parts, keys, err);
+                    while let Some((key, value)) = fields.next_field()? {
+                        let number = || {
+                            value
+                                .parse()
+                                .map_err(|_| err(format!("bad family value `{key}={value}`")))
+                        };
                         match key {
-                            "fixed" => model.fixed = v,
-                            "base" => model.base = v,
-                            "slope" => model.slope = v,
-                            "lo" => model.knob_lo = v,
-                            "hi" => model.knob_hi = v,
-                            "esat" => model.err_sat = v,
-                            "eknee" => model.err_knee = v,
-                            other => return Err(err(format!("unknown family field `{other}`"))),
+                            "knob" => model.knob = value.to_string(),
+                            "fixed" => model.fixed = number()?,
+                            "base" => model.base = number()?,
+                            "slope" => model.slope = number()?,
+                            "lo" => model.knob_lo = number()?,
+                            "hi" => model.knob_hi = number()?,
+                            "esat" => model.err_sat = number()?,
+                            "eknee" => model.err_knee = number()?,
+                            _ => unreachable!("the tokenizer yields declared keys only"),
                         }
                     }
                     table.set_family(model);

@@ -12,6 +12,9 @@
 //!   TimeWarp): `clock()` reads are quantized to a coarse granularity,
 //!   hiding the hit/miss latency difference.
 
+use gpgpu_spec::grammar;
+use gpgpu_spec::SpecError;
+
 /// Cycle-engine mode: how aggressively the engine may skip redundant work.
 ///
 /// `Dense` and `EventDriven` produce **bit-identical simulation results** —
@@ -55,17 +58,19 @@ impl EngineMode {
 }
 
 impl std::str::FromStr for EngineMode {
-    type Err = String;
+    type Err = SpecError;
 
     /// Parses an engine label: `dense`, `event` (or `event-driven`), or
     /// `analytical` (case-insensitive).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "dense" => Ok(EngineMode::Dense),
-            "event" | "event-driven" | "eventdriven" => Ok(EngineMode::EventDriven),
-            "analytical" | "analytic" => Ok(EngineMode::Analytical),
-            other => Err(format!("unknown engine `{other}` (expected dense, event or analytical)")),
-        }
+        let labels = [
+            ("dense", EngineMode::Dense),
+            ("event|event-driven|eventdriven", EngineMode::EventDriven),
+            ("analytical|analytic", EngineMode::Analytical),
+        ];
+        grammar::lookup(s, &labels).ok_or_else(|| SpecError::InvalidEngine {
+            reason: format!("unknown engine `{s}` (expected dense, event or analytical)"),
+        })
     }
 }
 
@@ -266,7 +271,7 @@ mod tests {
         for mode in [EngineMode::Dense, EngineMode::EventDriven, EngineMode::Analytical] {
             assert_eq!(mode.label().parse::<EngineMode>().unwrap(), mode);
         }
-        assert!("warp9".parse::<EngineMode>().unwrap_err().contains("unknown engine"));
+        assert!("warp9".parse::<EngineMode>().unwrap_err().to_string().contains("unknown engine"));
         // A non-default engine counts as "set": two different requests are a
         // typed conflict, and a set engine survives a merge with the default.
         let dense = DeviceTuning { engine: EngineMode::Dense, ..DeviceTuning::none() };

@@ -37,6 +37,7 @@
 //! ```
 
 use crate::error::SpecError;
+use crate::grammar::Fields;
 use std::fmt;
 
 /// One configurable defense mechanism, parameterized.
@@ -218,49 +219,22 @@ impl DefenseSpec {
     /// unparsable values, out-of-range parameters, and duplicate kinds.
     pub fn from_spec(spec: &str) -> Result<Self, SpecError> {
         let invalid = |reason: String| SpecError::InvalidDefense { reason };
-        let trimmed = spec.trim();
-        if trimmed == "none" {
-            return Ok(DefenseSpec::none());
+        match spec.trim() {
+            "none" => return Ok(DefenseSpec::none()),
+            "" => return Err(invalid("empty defense spec (use `none` for no defense)".into())),
+            _ => {}
         }
-        if trimmed.is_empty() {
-            return Err(invalid("empty defense spec (use `none` for no defense)".into()));
-        }
+        // The tokenizer rejects *any* repeated kind, even a repeat of the
+        // identical component: a doubled key is a typo, not intent.
+        let mut fields = Fields::new(spec.split(','), &["partition", "randsched", "fuzz"], invalid);
         let mut out = DefenseSpec::none();
-        for part in trimmed.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| invalid(format!("expected key=value, got `{part}`")))?;
-            let value = value.trim();
-            let component = match key.trim() {
-                "partition" => {
-                    let partitions: u32 = value
-                        .parse()
-                        .map_err(|_| invalid(format!("invalid partition count `{value}`")))?;
-                    DefenseComponent::CachePartitioning { partitions }
-                }
-                "randsched" => {
-                    let seed =
-                        match value.strip_prefix("0x").or_else(|| value.strip_prefix("0X")) {
-                            Some(hex) => u64::from_str_radix(hex, 16),
-                            None => value.parse(),
-                        }
-                        .map_err(|_| invalid(format!("invalid scheduler seed `{value}`")))?;
-                    DefenseComponent::RandomizedWarpScheduling { seed }
-                }
-                "fuzz" => {
-                    let granularity: u64 = value
-                        .parse()
-                        .map_err(|_| invalid(format!("invalid clock quantum `{value}`")))?;
-                    DefenseComponent::ClockFuzzing { granularity }
-                }
-                other => return Err(invalid(format!("unknown defense key `{other}`"))),
-            };
-            // Reject *any* repeated kind in a spec string, even a repeat of
-            // the identical component: a doubled key is a typo, not intent.
-            if out.components.iter().any(|c| c.same_kind(component)) {
-                return Err(invalid(format!("duplicate defense key `{}`", component.key())));
-            }
-            out = out.with_component(component)?;
+        while let Some((key, _)) = fields.next_field()? {
+            out = out.with_component(match key {
+                "partition" => DefenseComponent::CachePartitioning { partitions: fields.parse()? },
+                "randsched" => DefenseComponent::RandomizedWarpScheduling { seed: fields.seed()? },
+                "fuzz" => DefenseComponent::ClockFuzzing { granularity: fields.parse()? },
+                _ => unreachable!("the tokenizer yields declared keys only"),
+            })?;
         }
         Ok(out)
     }

@@ -62,6 +62,24 @@ pub enum SpecError {
         /// Human-readable description of the violated constraint.
         reason: String,
     },
+    /// A fault-plan spec string is malformed (unknown key or fault kind,
+    /// malformed number, zero period, burst longer than the period, or
+    /// intensity outside `[0, 1]`).
+    InvalidFaults {
+        /// Human-readable description of the violated constraint.
+        reason: String,
+    },
+    /// A chaos-plan spec string is malformed (unknown key or malformed
+    /// number).
+    InvalidChaos {
+        /// Human-readable description of the violated constraint.
+        reason: String,
+    },
+    /// An engine label is not one of `dense`, `event` or `analytical`.
+    InvalidEngine {
+        /// Human-readable description of the violated constraint.
+        reason: String,
+    },
 }
 
 impl fmt::Display for SpecError {
@@ -91,6 +109,9 @@ impl fmt::Display for SpecError {
             SpecError::InvalidSubCore { reason } => {
                 write!(f, "invalid sub-core spec: {reason}")
             }
+            SpecError::InvalidFaults { reason } => write!(f, "invalid fault plan: {reason}"),
+            SpecError::InvalidChaos { reason } => write!(f, "invalid chaos plan: {reason}"),
+            SpecError::InvalidEngine { reason } => write!(f, "invalid engine: {reason}"),
         }
     }
 }

@@ -40,6 +40,7 @@ pub mod defense;
 pub mod device;
 pub mod error;
 pub mod fu;
+pub mod grammar;
 pub mod launch;
 pub mod mem;
 pub mod presets;

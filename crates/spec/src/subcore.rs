@@ -17,6 +17,7 @@
 
 use crate::arch::Architecture;
 use crate::error::SpecError;
+use crate::grammar::{pair, Fields};
 use crate::sm::SmSpec;
 use std::fmt;
 
@@ -167,76 +168,34 @@ impl ArchDescriptor {
     ///
     /// # Errors
     ///
-    /// [`SpecError::InvalidSubCore`] on unknown keys, missing fields,
-    /// malformed numbers, or an unknown architecture label.
+    /// [`SpecError::InvalidSubCore`] on unknown or repeated keys, missing
+    /// fields, malformed numbers, or an unknown architecture label.
     pub fn parse(spec: &str) -> Result<ArchDescriptor, SpecError> {
-        let fail = |reason: String| Err(SpecError::InvalidSubCore { reason });
-        let mut arch = None;
-        let mut sub_cores = None;
-        let mut issue = None;
-        let mut regs = None;
-        let mut dep = None;
-        let mut sector = None;
-        for field in spec.split(';') {
-            let Some((key, value)) = field.split_once('=') else {
-                return fail(format!("field `{field}` is not key=value"));
-            };
+        let keys = &["arch", "subcores", "issue", "regs", "dep", "sector"];
+        let mut fields =
+            Fields::new(spec.split(';'), keys, |reason| SpecError::InvalidSubCore { reason });
+        // Every field is required, so each placeholder below is overwritten.
+        let mut d = Architecture::Fermi.descriptor();
+        while let Some((key, value)) = fields.next_field()? {
+            let unknown = |what: &str| fields.error(format!("unknown {what} `{value}`"));
             match key {
                 "arch" => {
-                    arch = Some(Architecture::from_label(value).ok_or_else(|| {
-                        SpecError::InvalidSubCore {
-                            reason: format!("unknown architecture `{value}`"),
-                        }
-                    })?);
+                    d.arch = Architecture::from_label(value).ok_or_else(|| unknown("arch"))?
                 }
-                "subcores" | "issue" | "regs" => {
-                    let n: u32 = value.parse().map_err(|_| SpecError::InvalidSubCore {
-                        reason: format!("`{key}` value `{value}` is not a number"),
-                    })?;
-                    match key {
-                        "subcores" => sub_cores = Some(n),
-                        "issue" => issue = Some(n),
-                        _ => regs = Some(n),
-                    }
-                }
+                "subcores" => d.sub_core.sub_cores = fields.parse()?,
+                "issue" => d.sub_core.issue_slots = fields.parse()?,
+                "regs" => d.sub_core.registers_per_subcore = fields.parse()?,
                 "dep" => {
-                    dep = Some(DependenceMode::from_grammar_token(value).ok_or_else(|| {
-                        SpecError::InvalidSubCore {
-                            reason: format!("unknown dependence mode `{value}`"),
-                        }
-                    })?);
+                    d.sub_core.dependence = DependenceMode::from_grammar_token(value)
+                        .ok_or_else(|| unknown("dependence mode"))?;
                 }
-                "sector" => {
-                    sector = Some(if value == "none" {
-                        None
-                    } else {
-                        let Some((bytes, per_line)) = value.split_once('x') else {
-                            return fail(format!("sector `{value}` is not BYTESxCOUNT or none"));
-                        };
-                        let parse = |s: &str| {
-                            s.parse::<u64>().map_err(|_| SpecError::InvalidSubCore {
-                                reason: format!("sector component `{s}` is not a number"),
-                            })
-                        };
-                        Some((parse(bytes)?, parse(per_line)?))
-                    });
-                }
-                _ => return fail(format!("unknown key `{key}`")),
+                "sector" if value == "none" => d.l1_sector = None,
+                "sector" => d.l1_sector = Some(pair(value, 'x').ok_or_else(|| unknown("sector"))?),
+                _ => unreachable!("the tokenizer yields declared keys only"),
             }
         }
-        let missing = |name: &str| SpecError::InvalidSubCore {
-            reason: format!("missing required field `{name}`"),
-        };
-        Ok(ArchDescriptor {
-            arch: arch.ok_or_else(|| missing("arch"))?,
-            sub_core: SubCoreSpec {
-                sub_cores: sub_cores.ok_or_else(|| missing("subcores"))?,
-                issue_slots: issue.ok_or_else(|| missing("issue"))?,
-                registers_per_subcore: regs.ok_or_else(|| missing("regs"))?,
-                dependence: dep.ok_or_else(|| missing("dep"))?,
-            },
-            l1_sector: sector.ok_or_else(|| missing("sector"))?,
-        })
+        fields.require_all()?;
+        Ok(d)
     }
 }
 

@@ -38,6 +38,7 @@
 
 use crate::defense::DefenseSpec;
 use crate::error::SpecError;
+use crate::grammar::{self, Fields};
 use crate::presets;
 use crate::topology::TopologySpec;
 use std::fmt;
@@ -127,6 +128,16 @@ impl fmt::Display for SweepCell {
     }
 }
 
+/// Largest message length a request may ask for. Far above every sweep in
+/// use (the Figure-5 message is 64 bits); it keeps a typo such as
+/// `bits=4000000000` a typed error instead of a multi-gigabyte allocation.
+pub const MAX_BITS: u32 = 1 << 20;
+/// Largest per-bit iteration count a request may ask for. Far above every
+/// symbol time in use (the paper's sweeps stop at a few dozen); it keeps the
+/// channels' cycle arithmetic (`iterations * 64` idle-spin lengths) far
+/// from overflow.
+pub const MAX_ITERATIONS: u64 = 1 << 20;
+
 /// Default symbol-time axis (the paper's error-free operating point).
 const DEFAULT_ITERATIONS: u64 = 20;
 /// Default message length.
@@ -175,8 +186,8 @@ impl SweepRequest {
         if self.defenses.is_empty() {
             return invalid("defense axis is empty".into());
         }
-        if self.bits == 0 {
-            return invalid("bits must be positive".into());
+        if self.bits == 0 || self.bits > MAX_BITS {
+            return invalid(format!("bits must be in 1..={MAX_BITS}, got {}", self.bits));
         }
         for d in &self.devices {
             if presets::by_name(d).is_none() {
@@ -192,8 +203,8 @@ impl SweepRequest {
             }
         }
         for &it in &self.iterations {
-            if it == 0 {
-                return invalid("iters values must be positive".into());
+            if it == 0 || it > MAX_ITERATIONS {
+                return invalid(format!("iters values must be in 1..={MAX_ITERATIONS}, got {it}"));
             }
         }
         for f in &self.faults {
@@ -242,86 +253,43 @@ impl SweepRequest {
     /// duplicate fields, and any [`SweepRequest::validate`] failure.
     pub fn from_spec(spec: &str) -> Result<Self, SpecError> {
         let invalid = |reason: String| SpecError::InvalidSweep { reason };
-        let trimmed = spec.trim();
-        if trimmed.is_empty() {
-            return Err(invalid("empty sweep spec (the default grid is `default`)".into()));
-        }
         let mut out = SweepRequest::default();
-        if trimmed == "default" {
-            return Ok(out);
+        match spec.trim() {
+            "" => return Err(invalid("empty sweep spec (the default grid is `default`)".into())),
+            "default" => return Ok(out),
+            _ => {}
         }
-        let mut seen: Vec<&str> = Vec::new();
-        for part in trimmed.split(';').map(str::trim).filter(|p| !p.is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| invalid(format!("expected key=value, got `{part}`")))?;
-            let key = key.trim();
-            let value = value.trim();
-            if seen.contains(&key) {
-                return Err(invalid(format!("duplicate sweep field `{key}`")));
-            }
+        let keys = &["device", "family", "iters", "bits", "seed", "faults", "defense", "topology"];
+        let mut fields = Fields::new(spec.split(';'), keys, invalid);
+        while let Some((key, value)) = fields.next_field()? {
+            let values = |sep: char| value.split(sep).map(str::trim);
             match key {
                 "device" => {
-                    out.devices = value
-                        .split('+')
-                        .map(|d| canonical_device(d.trim()))
-                        .collect::<Result<_, _>>()?;
+                    out.devices = values('+').map(canonical_device).collect::<Result<_, _>>()?
                 }
-                "family" => {
-                    out.families = value.split('+').map(|f| f.trim().to_string()).collect();
-                }
+                "family" => out.families = values('+').map(str::to_string).collect(),
                 "iters" => {
-                    out.iterations = value
-                        .split('+')
-                        .map(|v| {
-                            v.trim()
-                                .parse()
-                                .map_err(|_| invalid(format!("invalid iters value `{v}`")))
-                        })
-                        .collect::<Result<_, _>>()?;
+                    let iters = values('+').map(|v| grammar::bounded(v, MAX_ITERATIONS));
+                    out.iterations = iters.collect::<Option<_>>().ok_or_else(|| {
+                        invalid(format!("invalid `iters` value `{value}` (max {MAX_ITERATIONS})"))
+                    })?;
                 }
-                "bits" => {
-                    out.bits =
-                        value.parse().map_err(|_| invalid(format!("invalid bits `{value}`")))?;
-                }
-                "seed" => {
-                    out.seed = parse_u64(value)
-                        .ok_or_else(|| invalid(format!("invalid seed `{value}`")))?;
-                }
-                "faults" => {
-                    out.faults = value.split('|').map(|f| f.trim().to_string()).collect();
-                }
+                "bits" => out.bits = fields.bounded(MAX_BITS)?,
+                "seed" => out.seed = fields.seed()?,
+                "faults" => out.faults = values('|').map(str::to_string).collect(),
                 "defense" => {
-                    out.defenses = value
-                        .split('|')
-                        .map(|d| canonical_defense(d.trim()))
-                        .collect::<Result<_, _>>()?;
+                    out.defenses = values('|').map(canonical_defense).collect::<Result<_, _>>()?
                 }
+                "topology" if value == "none" => out.topology = "none".to_string(),
                 "topology" => {
-                    out.topology = if value == "none" {
-                        "none".to_string()
-                    } else {
-                        TopologySpec::from_spec(value)
-                            .map_err(|e| invalid(format!("topology: {e}")))?
-                            .to_spec()
-                    };
+                    out.topology = TopologySpec::from_spec(value)
+                        .map_err(|e| invalid(format!("topology: {e}")))?
+                        .to_spec();
                 }
-                other => return Err(invalid(format!("unknown sweep field `{other}`"))),
+                _ => unreachable!("the tokenizer yields declared keys only"),
             }
-            // `seen` holds the canonical key name; `part` outlives the loop.
-            seen.push(match key {
-                "device" => "device",
-                "family" => "family",
-                "iters" => "iters",
-                "bits" => "bits",
-                "seed" => "seed",
-                "faults" => "faults",
-                "defense" => "defense",
-                _ => "topology",
-            });
         }
-        out.validate()?;
-        Ok(out)
+        out.validate().map(|()| out)
     }
 
     /// Renders the canonical spec string: every field, fixed order, axis
@@ -404,14 +372,6 @@ fn canonical_defense(spec: &str) -> Result<String, SpecError> {
         return Ok("none".to_string());
     }
     Ok(d.to_spec())
-}
-
-/// Parses decimal or `0x` hex.
-fn parse_u64(value: &str) -> Option<u64> {
-    match value.strip_prefix("0x").or_else(|| value.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => value.parse().ok(),
-    }
 }
 
 #[cfg(test)]

@@ -32,6 +32,7 @@
 
 use crate::device::DeviceSpec;
 use crate::error::SpecError;
+use crate::grammar::{pair, Fields};
 use crate::presets;
 
 /// Default one-way link propagation latency in device cycles.
@@ -242,9 +243,10 @@ impl TopologySpec {
     }
 
     /// Parses the textual spec grammar (the CLI's `--topology` argument):
-    /// comma-separated keys `devices=<alias>+<alias>+...` and, per link,
-    /// `link=<a>-<b>[:lat=<n>][:slot=<n>][:lanes=<n>]`. Omitted link fields
-    /// keep the [`LinkSpec::between`] defaults.
+    /// comma-separated keys `devices=<alias>+<alias>+...` (once) and, per
+    /// link, `link=<a>-<b>[:lat=<n>][:slot=<n>][:lanes=<n>]`; `link` is the
+    /// only repeatable key of any spec grammar. Omitted link fields keep the
+    /// [`LinkSpec::between`] defaults.
     ///
     /// # Errors
     ///
@@ -252,59 +254,30 @@ impl TopologySpec {
     /// violation [`TopologySpec::new`] rejects.
     pub fn from_spec(spec: &str) -> Result<Self, SpecError> {
         let invalid = |reason: String| SpecError::InvalidTopology { reason };
-        let mut devices: Vec<String> = Vec::new();
+        let mut devices: Vec<&str> = Vec::new();
         let mut links: Vec<LinkSpec> = Vec::new();
-        for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| invalid(format!("expected key=value, got `{part}`")))?;
-            match key.trim() {
-                "devices" => {
-                    for name in value.split('+').map(str::trim) {
-                        devices.push(name.to_string());
-                    }
-                }
-                "link" => {
-                    let mut fields = value.split(':').map(str::trim);
-                    let endpoints = fields
-                        .next()
-                        .ok_or_else(|| invalid(format!("empty link spec `{value}`")))?;
-                    let (a, b) = endpoints
-                        .split_once('-')
-                        .ok_or_else(|| invalid(format!("expected `a-b`, got `{endpoints}`")))?;
-                    let a: u32 = a
-                        .trim()
-                        .parse()
-                        .map_err(|_| invalid(format!("invalid link endpoint `{a}`")))?;
-                    let b: u32 = b
-                        .trim()
-                        .parse()
-                        .map_err(|_| invalid(format!("invalid link endpoint `{b}`")))?;
-                    let mut link = LinkSpec::between(a, b);
-                    for field in fields {
-                        let (fk, fv) = field.split_once('=').ok_or_else(|| {
-                            invalid(format!("expected field=value, got `{field}`"))
-                        })?;
-                        let n: u64 = fv
-                            .trim()
-                            .parse()
-                            .map_err(|_| invalid(format!("invalid link field value `{fv}`")))?;
-                        match fk.trim() {
-                            "lat" => link.latency_cycles = n,
-                            "slot" => link.slot_cycles = n,
-                            "lanes" => {
-                                link.lanes = u32::try_from(n)
-                                    .map_err(|_| invalid(format!("lane count {n} exceeds u32")))?;
-                            }
-                            other => {
-                                return Err(invalid(format!("unknown link field `{other}`")));
-                            }
-                        }
-                    }
-                    links.push(link);
-                }
-                other => return Err(invalid(format!("unknown topology key `{other}`"))),
+        let mut fields =
+            Fields::new(spec.split(','), &["devices", "link"], invalid).repeatable(&["link"]);
+        while let Some((key, value)) = fields.next_field()? {
+            if key == "devices" {
+                devices = value.split('+').map(str::trim).collect();
+                continue;
             }
+            let (endpoints, rest) = value.split_once(':').unwrap_or((value, ""));
+            let (a, b) = pair(endpoints, '-').ok_or_else(|| {
+                invalid(format!("expected link endpoints `a-b`, got `{endpoints}`"))
+            })?;
+            let mut link = LinkSpec::between(a, b);
+            let mut link_fields = Fields::new(rest.split(':'), &["lat", "slot", "lanes"], invalid);
+            while let Some((field, _)) = link_fields.next_field()? {
+                match field {
+                    "lat" => link.latency_cycles = link_fields.parse()?,
+                    "slot" => link.slot_cycles = link_fields.parse()?,
+                    "lanes" => link.lanes = link_fields.parse()?,
+                    _ => unreachable!("the tokenizer yields declared keys only"),
+                }
+            }
+            links.push(link);
         }
         TopologySpec::new(&devices, links)
     }
